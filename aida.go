@@ -28,13 +28,10 @@ type (
 	// graph and keyphrase features.
 	KB = kb.KB
 	// Store is the read interface every knowledge-base implementation
-	// satisfies: the single-process *KB and the sharded router. Systems
-	// are built over a Store, so the whole pipeline runs unchanged — and
-	// byte-identically — against either.
+	// satisfies: the single-process *KB and the RemoteStore fleet client.
+	// Systems are built over a Store, so the whole pipeline runs unchanged
+	// — and byte-identically — against either.
 	Store = kb.Store
-	// ShardedKB is a knowledge base split into N shards behind a
-	// deterministic routing layer; build one with ShardKB.
-	ShardedKB = kb.ShardedKB
 	// RemoteStore is a Store served by a fleet of remote shard hosts,
 	// dialed with DialFleet. Annotation over it is byte-identical to a
 	// local KB; fetches are batched per shard, hedged past a latency
@@ -181,12 +178,6 @@ func RebuildKB(k *KB, d *Delta) (*KB, error) { return kb.Rebuild(k, d) }
 // LoadKB reads a KB snapshot written with (*KB).Save.
 func LoadKB(r io.Reader) (*KB, error) { return kb.Load(r) }
 
-// ShardKB splits a built KB into n shards behind a routing layer
-// (entities by id mod n, dictionary rows by normalized-surface hash).
-// Annotation over the returned store is byte-identical to annotation over
-// k at any shard count; n must be ≥ 1.
-func ShardKB(k *KB, n int) *ShardedKB { return kb.Shard(k, n) }
-
 // LoadShardMap reads and validates a shard-fleet topology file (the
 // -shard-map flag of cmd/aidaserver and cmd/aida; see kb.ShardMap for the
 // JSON shape).
@@ -298,9 +289,8 @@ type Annotation struct {
 }
 
 // System bundles the full pipeline: recognition, candidate generation and
-// disambiguation against one knowledge base store (a single KB, a sharded
-// router or a remote fleet — the annotations are byte-identical either
-// way).
+// disambiguation against one knowledge base store (a single KB or a remote
+// fleet — the annotations are byte-identical either way).
 //
 // A System serves one KB *generation* at a time. ApplyDelta installs a new
 // generation (a copy-on-write overlay plus a warm-cloned scoring engine)

@@ -1,6 +1,7 @@
 package aida
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"slices"
@@ -22,25 +23,56 @@ func batchWorld(t testing.TB, docs int) (*KB, []string) {
 	return w.KB, texts
 }
 
+// annotations runs AnnotateDoc under a background context and returns the
+// document's annotations, failing on error.
+func annotations(tb testing.TB, sys *System, text string, opts ...AnnotateOption) []Annotation {
+	tb.Helper()
+	doc, err := sys.AnnotateDoc(context.Background(), text, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return doc.Annotations
+}
+
+// corpusAnnotations runs AnnotateCorpus under a background context and
+// returns each document's annotations in input order, failing on error or
+// on a document whose Index is not its input position.
+func corpusAnnotations(tb testing.TB, sys *System, docs []string, opts ...AnnotateOption) [][]Annotation {
+	tb.Helper()
+	out, err := sys.AnnotateCorpus(context.Background(), docs, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	anns := make([][]Annotation, len(out))
+	for i, d := range out {
+		if d.Index != i {
+			tb.Fatalf("corpus doc %d has index %d", i, d.Index)
+		}
+		anns[i] = d.Annotations
+	}
+	return anns
+}
+
 // TestAnnotateBatchMatchesSequential is the headline determinism check:
-// AnnotateBatch at full parallelism must produce byte-identical annotations
-// to the one-document-at-a-time loop, on both a cold and a warm engine.
+// AnnotateCorpus at full parallelism must produce byte-identical
+// annotations to the one-document-at-a-time loop, on both a cold and a
+// warm engine.
 func TestAnnotateBatchMatchesSequential(t *testing.T) {
 	k, docs := batchWorld(t, 12)
 
 	seq := New(k, WithMaxCandidates(10))
 	want := make([][]Annotation, len(docs))
 	for i, d := range docs {
-		want[i] = seq.Annotate(d)
+		want[i] = annotations(t, seq, d)
 	}
 
 	for _, parallelism := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		sys := New(k, WithMaxCandidates(10))
-		cold := sys.AnnotateBatch(docs, parallelism)
+		cold := corpusAnnotations(t, sys, docs, WithParallelism(parallelism))
 		if !reflect.DeepEqual(want, cold) {
 			t.Fatalf("parallelism=%d: cold batch diverges from sequential", parallelism)
 		}
-		warm := sys.AnnotateBatch(docs, parallelism)
+		warm := corpusAnnotations(t, sys, docs, WithParallelism(parallelism))
 		if !reflect.DeepEqual(want, warm) {
 			t.Fatalf("parallelism=%d: warm batch diverges from sequential", parallelism)
 		}
@@ -52,49 +84,54 @@ func TestAnnotateBatchMatchesSequential(t *testing.T) {
 func TestAnnotateBatchWarmsEngine(t *testing.T) {
 	k, docs := batchWorld(t, 8)
 	sys := New(k, WithMaxCandidates(10))
-	sys.AnnotateBatch(docs, 4)
-	_, misses1 := sys.Scorer().CacheStats()
-	if misses1 == 0 {
+	corpusAnnotations(t, sys, docs, WithParallelism(4))
+	first := sys.Scorer().Stats()
+	if first.Misses == 0 {
 		t.Fatal("expected the engine to compute pair values during batch annotation")
 	}
-	sys.AnnotateBatch(docs, 4)
-	hits2, misses2 := sys.Scorer().CacheStats()
-	if misses2 != misses1 {
-		t.Errorf("second pass over the same docs recomputed %d pairs", misses2-misses1)
+	corpusAnnotations(t, sys, docs, WithParallelism(4))
+	second := sys.Scorer().Stats()
+	if second.Misses != first.Misses {
+		t.Errorf("second pass over the same docs recomputed %d pairs", second.Misses-first.Misses)
 	}
-	if hits2 == 0 {
+	if second.Hits == 0 {
 		t.Error("second pass should hit the warm cache")
 	}
 }
 
-// TestAnnotateBoundedMatchesAnnotate pins the concurrency-budgeted
-// variant to the default pipeline: the bound changes scheduling only.
+// TestAnnotateBoundedMatchesAnnotate pins AnnotateDoc under a
+// WithParallelism bound to the default pipeline: the bound changes
+// scheduling only.
 func TestAnnotateBoundedMatchesAnnotate(t *testing.T) {
 	k, docs := batchWorld(t, 4)
 	sys := New(k, WithMaxCandidates(10))
 	for _, d := range docs {
-		want := sys.Annotate(d)
-		for _, bound := range []int{-1, 0, 1, 2, runtime.GOMAXPROCS(0)} {
-			if got := sys.AnnotateBounded(d, bound); !reflect.DeepEqual(want, got) {
-				t.Fatalf("bound=%d: AnnotateBounded diverges from Annotate", bound)
+		want := annotations(t, sys, d)
+		for _, bound := range []int{0, 1, 2, runtime.GOMAXPROCS(0)} {
+			if got := annotations(t, sys, d, WithParallelism(bound)); !reflect.DeepEqual(want, got) {
+				t.Fatalf("bound=%d: bounded AnnotateDoc diverges from the default", bound)
 			}
 		}
 	}
 }
 
-// TestAnnotateAllMatchesBatch checks the streaming iterator yields the
-// same annotations in order, and honors early termination.
+// TestAnnotateAllMatchesBatch checks AnnotateStream yields the same
+// annotations as AnnotateCorpus in input order, and honors early
+// termination.
 func TestAnnotateAllMatchesBatch(t *testing.T) {
 	k, docs := batchWorld(t, 10)
 	sys := New(k, WithMaxCandidates(10))
-	want := sys.AnnotateBatch(docs, 0)
+	want := corpusAnnotations(t, sys, docs)
 
 	for _, parallelism := range []int{1, 4} {
 		var got [][]Annotation
 		var order []int
-		for i, anns := range sys.AnnotateAll(slices.Values(docs), parallelism) {
-			order = append(order, i)
-			got = append(got, anns)
+		for doc, err := range sys.AnnotateStream(context.Background(), slices.Values(docs), WithParallelism(parallelism)) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			order = append(order, doc.Index)
+			got = append(got, doc.Annotations)
 		}
 		for i := range order {
 			if order[i] != i {
@@ -108,7 +145,7 @@ func TestAnnotateAllMatchesBatch(t *testing.T) {
 
 	// Early break must not deadlock or leak; we only check it stops.
 	n := 0
-	for range sys.AnnotateAll(slices.Values(docs), 4) {
+	for range sys.AnnotateStream(context.Background(), slices.Values(docs), WithParallelism(4)) {
 		n++
 		if n == 3 {
 			break
@@ -135,7 +172,7 @@ func TestSystemRelatednessReusesEngine(t *testing.T) {
 			t.Fatalf("%v: fresh system disagrees: %v vs %v", kind, first, fresh)
 		}
 	}
-	if hits, _ := sys.Scorer().CacheStats(); hits == 0 {
+	if sys.Scorer().Stats().Hits == 0 {
 		t.Error("repeated Relatedness calls should hit the engine cache")
 	}
 }

@@ -117,7 +117,6 @@ func main() {
 		gen       = flag.Int("gen", 0, "generate a synthetic KB with this many entities")
 		seed      = flag.Int64("seed", 42, "seed for -gen")
 		method    = flag.String("method", "aida", "method: aida, prior, sim, cuc, kul-ci, tagme, iw")
-		shards    = flag.Int("shards", 1, "split the KB into this many shards behind a router (responses are byte-identical at any count)")
 		maxCand   = flag.Int("max-candidates", 20, "candidates per mention (0 = no cap)")
 		defPar    = flag.Int("j", 0, "default per-request parallelism (0 = GOMAXPROCS)")
 		maxPar    = flag.Int("jmax", 0, "per-request parallelism cap (0 = GOMAXPROCS)")
@@ -166,7 +165,7 @@ func main() {
 			logger.Error("dial shard fleet", "err", err)
 			os.Exit(1)
 		}
-		logger.Info("dialed shard fleet", "shards", remote.NumShards(),
+		logger.Info("dialed shard fleet", "shards", len(fleet.Shards),
 			"fingerprint", fmt.Sprintf("%016x", remote.Fingerprint()))
 		store = remote
 	} else {
@@ -176,13 +175,6 @@ func main() {
 			os.Exit(1)
 		}
 		store = k
-		switch {
-		case *shards < 1:
-			logger.Error("invalid -shards", "shards", *shards)
-			os.Exit(1)
-		case *shards > 1:
-			store = aida.ShardKB(k, *shards)
-		}
 	}
 	if *shardHost != "" {
 		var shard, width int
@@ -325,7 +317,7 @@ func main() {
 		logger.Error("listen", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	logger.Info("serving", "addr", l.Addr().String(), "entities", store.NumEntities(), "shards", store.NumShards(), "method", *method)
+	logger.Info("serving", "addr", l.Addr().String(), "entities", store.NumEntities(), "method", *method)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

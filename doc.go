@@ -49,9 +49,6 @@
 //	docs, err := sys.AnnotateCorpus(ctx, texts, aida.WithParallelism(8))
 //	for doc, err := range sys.AnnotateStream(ctx, feed, aida.UseMethodNamed("prior")) { ... }
 //
-// The original Annotate, AnnotateBounded, AnnotateBatch and AnnotateAll
-// remain as deprecated wrappers with byte-identical output.
-//
 // # Scoring engine and deterministic concurrency
 //
 // Every System holds a Scorer: a long-lived, sharded, concurrency-safe
@@ -73,11 +70,11 @@
 // # Sharded knowledge bases
 //
 // Systems are built over a Store, the read interface both knowledge-base
-// implementations satisfy: the single in-memory KB and the ShardedKB
-// router returned by ShardKB(k, n), which splits entities by id and
-// dictionary rows by surface hash across n shards. Annotation output is
-// byte-identical at any shard count — candidate priors included — a
-// contract pinned by a golden-corpus conformance suite, so sharded
+// implementations satisfy: the single in-memory KB and the RemoteStore
+// returned by DialFleet, which reads a fleet of StoreHost shard processes
+// holding entities by id and dictionary rows by surface hash. Annotation
+// output is byte-identical at any fleet width — candidate priors included
+// — a contract pinned by a golden-corpus conformance suite, so sharded
 // deployments can be rolled out without output drift.
 //
 // # The annotation service

@@ -88,6 +88,6 @@ func main() {
 	}
 
 	// The engine kept every cross-document pair computation.
-	hits, misses := sys.Scorer().CacheStats()
-	fmt.Printf("engine pair cache: %d hits, %d misses\n", hits, misses)
+	st := sys.Scorer().Stats()
+	fmt.Printf("engine pair cache: %d hits, %d misses\n", st.Hits, st.Misses)
 }

@@ -118,7 +118,7 @@ func (p *Problem) wordIDF(w string) float64 {
 // NewProblem builds a Problem from raw text and pre-recognized mention
 // surfaces, materializing up to maxCandidates candidates per mention from
 // the KB dictionary (sorted by prior). maxCandidates ≤ 0 means no limit.
-// The store may be a single KB or a sharded router; candidate lists are
+// The store may be a local KB or a remote fleet; candidate lists are
 // byte-identical either way.
 func NewProblem(k kb.Store, text string, surfaces []string, maxCandidates int) *Problem {
 	return NewProblemFromWords(k, tokenizer.ContentWords(text), surfaces, maxCandidates)
@@ -169,7 +169,7 @@ func NewProblemFromWords(k kb.Store, contextWords, surfaces []string, maxCandida
 
 // MaterializeCandidates looks up a surface form in the KB dictionary and
 // returns candidate structs with all features attached. Entity features
-// are fetched from the shard owning each candidate when k is sharded.
+// are fetched from the shard owning each candidate when k is a fleet.
 func MaterializeCandidates(k kb.Store, surface string, maxCandidates int) []Candidate {
 	cands := k.Candidates(surface)
 	if maxCandidates > 0 && len(cands) > maxCandidates {

@@ -22,7 +22,7 @@ type ChunkDoc struct {
 // model construction by model difference, and discovery via Algorithm 3.
 type Pipeline struct {
 	// KB is the knowledge base store the pipeline harvests against: a
-	// single *kb.KB or a sharded router, with identical results.
+	// local *kb.KB or a remote fleet, with identical results.
 	KB kb.Store
 	// Method disambiguates the extended problems (default: r-prior sim-k).
 	Method disambig.Method

@@ -7,16 +7,18 @@ import (
 
 // TestFingerprintShardLayoutIndependent pins the portability contract of
 // engine snapshots: the fingerprint hashes repository content through the
-// Store read surface, so the unsharded KB and every router over it agree.
+// Store read surface, so the content walk over a fleet of any width agrees
+// with the local KB's.
 func TestFingerprintShardLayoutIndependent(t *testing.T) {
-	k := buildShardKB(t)
+	k := buildFleetKB(t)
 	want := k.Fingerprint()
 	if want == 0 {
 		t.Fatal("fingerprint of a non-empty KB is 0")
 	}
-	for _, n := range []int{1, 2, 3, 4, 8} {
-		if got := Shard(k, n).Fingerprint(); got != want {
-			t.Fatalf("Shard(k, %d).Fingerprint() = %016x, want %016x", n, got, want)
+	for _, n := range []int{1, 2, 3, 4} {
+		r := dialFleet(t, startFleet(t, k, n, 1, nil), RemoteOptions{})
+		if got := fingerprintOf(r); got != want {
+			t.Fatalf("content walk over a %d-shard fleet = %016x, want %016x", n, got, want)
 		}
 	}
 	// Memoized: repeated calls agree.
@@ -28,7 +30,7 @@ func TestFingerprintShardLayoutIndependent(t *testing.T) {
 // TestFingerprintSurvivesPersistRoundTrip: a loaded snapshot carries the
 // same content, so it must carry the same fingerprint.
 func TestFingerprintSurvivesPersistRoundTrip(t *testing.T) {
-	k := buildShardKB(t)
+	k := buildFleetKB(t)
 	var buf bytes.Buffer
 	if err := k.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"unicode/utf8"
 )
@@ -38,13 +37,6 @@ func FuzzNormalizeName(f *testing.F) {
 	})
 }
 
-// fuzzStores builds the fuzz corpus KB and its sharded views once per
-// process (fuzz iterations must not pay KB construction).
-var fuzzStores = sync.OnceValue(func() []Store {
-	k := fuzzKB()
-	return []Store{k, Shard(k, 2), Shard(k, 4), Shard(k, 7)}
-})
-
 func fuzzKB() *KB {
 	b := NewBuilder()
 	ids := make([]EntityID, 0, 24)
@@ -77,14 +69,12 @@ func fuzzKB() *KB {
 	return b.Build()
 }
 
-// FuzzCandidates checks the dictionary lookup invariants on every Store
-// implementation for arbitrary surfaces: priors form a probability
-// distribution over the candidate set (sum ≈ 1), the list is sorted by
-// descending prior with ties by ascending id, every entity id is in range,
-// lookups are deterministic, and the sharded routers agree with the
-// unsharded KB byte for byte.
+// FuzzCandidates checks the dictionary lookup invariants for arbitrary
+// surfaces: priors form a probability distribution over the candidate set
+// (sum ≈ 1), the list is sorted by descending prior with ties by ascending
+// id, every entity id is in range, and lookups are deterministic.
 func FuzzCandidates(f *testing.F) {
-	k := fuzzStores()[0]
+	k := fuzzKB()
 	for _, name := range k.Names() {
 		f.Add(name)
 	}
@@ -93,51 +83,43 @@ func FuzzCandidates(f *testing.F) {
 	f.Add("no such name")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, surface string) {
-		stores := fuzzStores()
-		ref := stores[0].Candidates(surface)
-		for _, s := range stores {
-			got := s.Candidates(surface)
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("Candidates(%q) diverge at %d shards:\n got %+v\nwant %+v",
-					surface, s.NumShards(), got, ref)
+		got := k.Candidates(surface)
+		if again := k.Candidates(surface); !reflect.DeepEqual(again, got) {
+			t.Fatalf("Candidates(%q) not deterministic", surface)
+		}
+		if len(got) == 0 {
+			if got != nil {
+				t.Fatalf("empty candidate list must be nil, got %#v", got)
 			}
-			if again := s.Candidates(surface); !reflect.DeepEqual(again, got) {
-				t.Fatalf("Candidates(%q) not deterministic at %d shards", surface, s.NumShards())
+			return
+		}
+		if !k.HasName(NormalizeName(surface)) {
+			t.Fatalf("Candidates(%q) non-empty but HasName false", surface)
+		}
+		sum := 0.0
+		for i, c := range got {
+			sum += c.Prior
+			if c.Entity < 0 || int(c.Entity) >= k.NumEntities() {
+				t.Fatalf("candidate entity %d out of range", c.Entity)
 			}
-			if len(got) == 0 {
-				if got != nil {
-					t.Fatalf("empty candidate list must be nil, got %#v", got)
-				}
-				continue
+			if c.Prior < 0 || c.Prior > 1 {
+				t.Fatalf("prior %v outside [0,1]", c.Prior)
 			}
-			if !s.HasName(NormalizeName(surface)) {
-				t.Fatalf("Candidates(%q) non-empty but HasName false", surface)
+			if c.Count <= 0 {
+				t.Fatalf("candidate count %d not positive", c.Count)
 			}
-			sum := 0.0
-			for i, c := range got {
-				sum += c.Prior
-				if c.Entity < 0 || int(c.Entity) >= s.NumEntities() {
-					t.Fatalf("candidate entity %d out of range", c.Entity)
+			if i > 0 {
+				prev := got[i-1]
+				if c.Prior > prev.Prior {
+					t.Fatalf("Candidates(%q) not sorted by prior: %v after %v", surface, c.Prior, prev.Prior)
 				}
-				if c.Prior < 0 || c.Prior > 1 {
-					t.Fatalf("prior %v outside [0,1]", c.Prior)
-				}
-				if c.Count <= 0 {
-					t.Fatalf("candidate count %d not positive", c.Count)
-				}
-				if i > 0 {
-					prev := got[i-1]
-					if c.Prior > prev.Prior {
-						t.Fatalf("Candidates(%q) not sorted by prior: %v after %v", surface, c.Prior, prev.Prior)
-					}
-					if c.Prior == prev.Prior && c.Entity <= prev.Entity {
-						t.Fatalf("Candidates(%q) tie not broken by ascending id", surface)
-					}
+				if c.Prior == prev.Prior && c.Entity <= prev.Entity {
+					t.Fatalf("Candidates(%q) tie not broken by ascending id", surface)
 				}
 			}
-			if math.Abs(sum-1) > 1e-9 {
-				t.Fatalf("Candidates(%q) priors sum to %v, want 1", surface, sum)
-			}
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("Candidates(%q) priors sum to %v, want 1", surface, sum)
 		}
 	})
 }

@@ -41,9 +41,13 @@ const gobContentType = "application/x-gob"
 // router never needs more per round trip, so anything larger is a bug.
 const maxHostBatch = 1 << 16
 
+// maxBodyBytes bounds every gob body read off the wire: request bodies on
+// the host, success bodies on the router.
+const maxBodyBytes = 64 << 20
+
 // IDFTabler is the optional Store extension a shard host requires: the
 // global IDF side tables, enumerable so they can be replicated to remote
-// routers at dial time (exactly how ShardedKB replicates them in-process).
+// routers at dial time.
 type IDFTabler interface {
 	IDFTables() (phrase, word map[string]float64)
 }
@@ -52,12 +56,6 @@ type IDFTabler interface {
 // shared and must not be modified.
 func (k *KB) IDFTables() (phrase, word map[string]float64) {
 	return k.phraseIDF, k.wordIDF
-}
-
-// IDFTables returns the router-replicated global IDF side tables. The
-// returned maps are shared and must not be modified.
-func (s *ShardedKB) IDFTables() (phrase, word map[string]float64) {
-	return s.phraseIDF, s.wordIDF
 }
 
 // HostFaulter is an optional Store extension consulted by StoreHost before
@@ -137,7 +135,7 @@ type StoreHost struct {
 }
 
 // NewStoreHost wraps a store as shard `shard` of `shards`. The store must
-// implement IDFTabler (both in-process stores do) so routers can replicate
+// implement IDFTabler (a *KB does) so routers can replicate
 // the global IDF tables.
 func NewStoreHost(s Store, shard, shards int) (*StoreHost, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
@@ -207,7 +205,7 @@ func (h *StoreHost) respond(w http.ResponseWriter, out any) {
 
 // decode reads a gob request body under the batch cap.
 func decode[T any](w http.ResponseWriter, r *http.Request, v *T) bool {
-	if err := gob.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(v); err != nil {
+	if err := gob.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(v); err != nil {
 		http.Error(w, "malformed request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -252,8 +250,7 @@ func (h *StoreHost) handleEntityByName(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	id, ok := h.store.EntityByName(name)
 	// Claim only entities this shard owns; the router fans out in shard
-	// order, so exactly the owning host answers — the same semantics as
-	// ShardedKB.EntityByName.
+	// order, so exactly the owning host answers.
 	if ok && EntityShard(id, h.shards) != h.shard {
 		ok = false
 	}

@@ -178,14 +178,15 @@ func TestKeywordNPMIDiscardsNonPositive(t *testing.T) {
 	}
 }
 
-func TestKeywordWeightFallback(t *testing.T) {
+func TestKeywordNPMICoversOwnKeyphrases(t *testing.T) {
 	k := buildMusicKB()
 	jimmy, _ := k.EntityByName("Jimmy Page")
-	if w := k.KeywordWeight(jimmy, "guitarist"); w <= 0 {
+	npmi := k.Entity(jimmy).KeywordNPMI
+	if w := npmi["guitarist"]; w <= 0 {
 		t.Errorf("keyword of own keyphrase should have positive weight, got %v", w)
 	}
-	if w := k.KeywordWeight(jimmy, "nonexistentword"); w != 0 {
-		t.Errorf("unknown keyword should have zero weight, got %v", w)
+	if w, ok := npmi["nonexistentword"]; ok {
+		t.Errorf("unknown keyword should have no weight, got %v", w)
 	}
 }
 

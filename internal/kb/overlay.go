@@ -208,16 +208,6 @@ func (o *Overlay) CandidatesBulk(surfaces []string) [][]Candidate {
 	return out
 }
 
-// Prior implements Store.
-func (o *Overlay) Prior(surface string, e EntityID) float64 {
-	for _, c := range o.Candidates(surface) {
-		if c.Entity == e {
-			return c.Prior
-		}
-	}
-	return 0
-}
-
 // Names implements Store: the base's keys plus any delta-introduced keys,
 // sorted. Memoized — the overlay is immutable, and fingerprinting walks
 // the list anyway.
@@ -255,22 +245,6 @@ func (o *Overlay) WordIDF(word string) float64 {
 	}
 	return lowerIDF(o.wordIDF, word)
 }
-
-// KeywordWeight implements Store. Link touches never change keyword
-// weights, so pre-existing entities defer to the base.
-func (o *Overlay) KeywordWeight(e EntityID, word string) float64 {
-	if int(e) >= o.baseN {
-		if w, ok := o.added[int(e)-o.baseN].KeywordNPMI[word]; ok {
-			return w
-		}
-		return 0
-	}
-	return o.base.KeywordWeight(e, word)
-}
-
-// NumShards implements Store: the overlay preserves the base's shard
-// geometry (added entities fall into shard id % NumShards like any other).
-func (o *Overlay) NumShards() int { return o.base.NumShards() }
 
 // Fingerprint implements Store: the canonical content walk over the merged
 // view, memoized per overlay. Applying a delta therefore bumps the

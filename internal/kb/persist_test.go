@@ -9,11 +9,10 @@ import (
 
 // TestPersistRoundTrip pins that Save → Load reproduces the KB exactly:
 // identical Candidates (priors included), entities, dictionary membership
-// and IDF tables — and that a loaded KB shards into the same routed
-// answers, which is what lets a fleet load one snapshot per process and
-// serve only its shard.
+// and IDF tables, which is what lets every shard host of a fleet load the
+// same snapshot.
 func TestPersistRoundTrip(t *testing.T) {
-	k := buildShardKB(t)
+	k := buildFleetKB(t)
 	var buf bytes.Buffer
 	if err := k.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -53,22 +52,13 @@ func TestPersistRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A loaded snapshot must shard identically to the in-memory build.
-	for _, n := range []int{2, 4} {
-		fromLoaded, fromBuilt := Shard(loaded, n), Shard(k, n)
-		for _, name := range k.Names() {
-			if got, want := fromLoaded.Candidates(name), fromBuilt.Candidates(name); !reflect.DeepEqual(got, want) {
-				t.Fatalf("sharded Candidates(%q) diverge after round-trip at %d shards", name, n)
-			}
-		}
-	}
 }
 
 // TestLoadErrors covers the persistence error paths: truncated streams,
 // corrupt payloads and empty input must surface as errors, never as a
 // half-initialized KB.
 func TestLoadErrors(t *testing.T) {
-	k := buildShardKB(t)
+	k := buildFleetKB(t)
 	var buf bytes.Buffer
 	if err := k.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -92,7 +82,7 @@ func TestLoadErrors(t *testing.T) {
 
 // TestSaveToFailingWriter covers the Save error path.
 func TestSaveToFailingWriter(t *testing.T) {
-	k := buildShardKB(t)
+	k := buildFleetKB(t)
 	if err := k.Save(failingWriter{}); err == nil {
 		t.Fatal("Save to failing writer succeeded, want error")
 	}

@@ -17,14 +17,13 @@ import (
 )
 
 // Remote KB hosting, client side. A RemoteStore is a kb.Store over a fleet
-// of shard hosts (StoreHost processes), routed with the same placement
-// functions as the in-process ShardedKB: entity e lives on shard
-// EntityShard(e, N), the dictionary row of a surface on NameShard(surface,
-// N). Dictionary membership (the recognition hot path) and the global IDF
-// tables are mirrored locally at dial time — the remote analogue of the
-// router-replicated side data — while entities and candidate rows are
-// fetched on demand, batched per shard (scatter-gather), and cached
-// forever: the KB is immutable, so a fetched value never goes stale.
+// of shard hosts (StoreHost processes), routed with the fleet placement
+// functions: entity e lives on shard EntityShard(e, N), the dictionary row
+// of a surface on NameShard(surface, N). Dictionary membership (the
+// recognition hot path) and the global IDF tables are mirrored locally at
+// dial time, while entities and candidate rows are fetched on demand,
+// batched per shard (scatter-gather), and cached forever: the KB is
+// immutable, so a fetched value never goes stale.
 //
 // Every fetch is hedged and fault-tolerant: a request that has not
 // answered within HedgeAfter is raced against the next replica, an error
@@ -344,7 +343,9 @@ func (r *RemoteStore) do(ctx context.Context, op string, shard int, method, path
 
 // attempt performs one HTTP exchange with one endpoint, validating status
 // and (when checkFP) the response's KB fingerprint header against the
-// fleet's. It returns the raw body so hedged duplicates decode nothing.
+// fleet's. It returns the raw body so hedged duplicates decode nothing. A
+// body over maxBodyBytes is an error, not a truncated decode, so the
+// caller retries it on another replica like any failed attempt.
 func (r *RemoteStore) attempt(ctx context.Context, ep, method, path string, query url.Values, body []byte, checkFP bool) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.AttemptTimeout)
 	defer cancel()
@@ -379,7 +380,14 @@ func (r *RemoteStore) attempt(ctx context.Context, ep, method, path string, quer
 				resp.Header.Get(FingerprintHeader), r.fp)
 		}
 	}
-	return io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxBodyBytes {
+		return nil, fmt.Errorf("response body exceeds %d bytes", maxBodyBytes)
+	}
+	return data, nil
 }
 
 // must panics with the operation's RemoteError; Store's read surface has
@@ -393,9 +401,6 @@ func must(err error) {
 
 // NumEntities returns |E| (from the fleet meta).
 func (r *RemoteStore) NumEntities() int { return r.numEntities }
-
-// NumShards returns the fleet width.
-func (r *RemoteStore) NumShards() int { return len(r.eps) }
 
 // Fingerprint returns the fleet's agreed-on content hash (verified against
 // every response).
@@ -497,8 +502,8 @@ func (r *RemoteStore) scatter(ctx context.Context, byShard map[int][]EntityID, f
 }
 
 // EntityByName looks up an entity by canonical name, fanning out to shards
-// in shard order exactly like ShardedKB (canonical names are globally
-// unique, so at most one shard answers). Hits are cached.
+// in shard order (canonical names are globally unique, so at most one
+// shard answers). Hits are cached.
 func (r *RemoteStore) EntityByName(name string) (EntityID, bool) {
 	r.mu.RLock()
 	id, ok := r.byName[name]
@@ -580,25 +585,6 @@ func (r *RemoteStore) fetchRows(ctx context.Context, byShard map[int][]string) e
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// Prior returns P(entity|surface), or 0 when the pair is unknown.
-func (r *RemoteStore) Prior(surface string, e EntityID) float64 {
-	for _, c := range r.Candidates(surface) {
-		if c.Entity == e {
-			return c.Prior
-		}
-	}
-	return 0
-}
-
-// KeywordWeight returns the NPMI weight of word for entity e, served from
-// the (cached) owning entity.
-func (r *RemoteStore) KeywordWeight(e EntityID, word string) float64 {
-	if w, ok := r.Entity(e).KeywordNPMI[word]; ok {
-		return w
-	}
-	return 0
 }
 
 // CandidatesBulk materializes the candidate lists of many surfaces with at

@@ -87,3 +87,37 @@ func LoadShardMap(path string) (ShardMap, error) {
 	}
 	return ParseShardMap(data)
 }
+
+// Fleet placement. A fleet of N shard hosts splits the repository two ways:
+//
+//   - entities are assigned round-robin by id: entity e lives on shard
+//     EntityShard(e, N) = e mod N;
+//   - dictionary rows are assigned by normalized-surface hash: the whole
+//     row for a surface lives on shard NameShard(surface, N), so one
+//     lookup owns all anchor counts for that name.
+//
+// StoreHost enforces this ownership and RemoteStore routes by it, so both
+// sides of the wire must agree on these two functions.
+
+// EntityShard returns the shard owning entity id under n shards. id must
+// be a repository id (≥ 0).
+func EntityShard(id EntityID, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return int(id) % n
+}
+
+// NameShard returns the shard owning the dictionary row of a normalized
+// surface under n shards (FNV-1a over the key bytes).
+func NameShard(normalized string, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(normalized); i++ {
+		h ^= uint64(normalized[i])
+		h *= 1099511628211
+	}
+	return int(h % uint64(n))
+}

@@ -68,3 +68,32 @@ func TestLoadShardMap(t *testing.T) {
 		t.Fatalf("LoadShardMap(missing) = %v, want a read error", err)
 	}
 }
+
+// shardCounts are the fleet widths the placement pin runs at.
+var shardCounts = []int{1, 2, 3, 4, 8, 16}
+
+// TestShardRoutingPinned pins the placement functions: a fleet's data
+// layout depends on them, so an accidental change must fail loudly.
+func TestShardRoutingPinned(t *testing.T) {
+	for id := EntityID(0); id < 40; id++ {
+		for _, n := range shardCounts {
+			if got := EntityShard(id, n); got != int(id)%n {
+				t.Fatalf("EntityShard(%d, %d) = %d, want %d", id, n, got, int(id)%n)
+			}
+		}
+	}
+	// FNV-1a reference values (computed independently); NormalizeName
+	// upper-cases keys > 3 runes, so dictionary keys look like these.
+	pinned := map[string]uint64{
+		"BERLIN": 3459164084063858993,
+		"PARIS":  9994186868775441952,
+		"MJ":     654838372290610742,
+	}
+	for key, h := range pinned {
+		for _, n := range shardCounts {
+			if got, want := NameShard(key, n), int(h%uint64(n)); got != want {
+				t.Fatalf("NameShard(%q, %d) = %d, want %d", key, n, got, want)
+			}
+		}
+	}
+}

@@ -3,10 +3,10 @@ package kb
 // Store is the read interface of the knowledge base: everything the
 // annotation pipeline (recognition, candidate materialization, scoring,
 // harvesting, serving) needs from the KB substrate. The single-process
-// *KB, the ShardedKB router, the RemoteStore fleet client and the
-// copy-on-write Overlay all satisfy it, and every implementation must
-// return byte-identical results for the same underlying repository — the
-// golden-corpus conformance suite in internal/kbtest pins this.
+// *KB, the RemoteStore fleet client and the copy-on-write Overlay all
+// satisfy it, and every implementation must return byte-identical results
+// for the same underlying repository — the golden-corpus conformance suites
+// in internal/kbtest pin this.
 //
 // All methods must be safe for concurrent use. Every implementation is
 // immutable after construction; live KB updates never mutate a Store in
@@ -42,24 +42,17 @@ type Store interface {
 	// the dictionary has no entry. The returned slice is shared across
 	// calls and must not be modified by the caller.
 	Candidates(surface string) []Candidate
-	// Prior returns P(entity|surface), or 0 when the pair is unknown.
-	Prior(surface string, e EntityID) float64
 	// Names returns all dictionary keys (normalized names), sorted.
 	Names() []string
 	// PhraseIDF returns the global IDF of a keyphrase (Eq. 3.5).
 	PhraseIDF(phrase string) float64
 	// WordIDF returns the global IDF of a keyword.
 	WordIDF(word string) float64
-	// KeywordWeight returns the NPMI weight of word for entity e (0 when
-	// the entity has no specific weight).
-	KeywordWeight(e EntityID, word string) float64
-	// NumShards reports how many shards back this store (1 for a plain
-	// *KB). Entity e lives on shard EntityShard(e, NumShards()).
-	NumShards() int
 	// Fingerprint returns a deterministic hash of the repository content.
-	// It is shard-layout-independent: the unsharded KB and every router
-	// over it return the same value, so state derived from the KB (engine
-	// snapshots) can be validated against any Store serving that content.
+	// It is shard-layout-independent: the KB and a fleet of any width
+	// serving it return the same value, so state derived from the KB
+	// (engine snapshots) can be validated against any Store serving that
+	// content.
 	Fingerprint() uint64
 }
 
@@ -75,21 +68,15 @@ type BulkCandidateStore interface {
 	CandidatesBulk(surfaces []string) [][]Candidate
 }
 
-// Compile-time conformance of the in-process implementations (Overlay and
-// RemoteStore declare theirs next to their definitions).
-var (
-	_ Store = (*KB)(nil)
-	_ Store = (*ShardedKB)(nil)
-)
-
-// NumShards implements Store: a plain KB is one shard.
-func (k *KB) NumShards() int { return 1 }
+// Compile-time conformance of the KB (Overlay and RemoteStore declare
+// theirs next to their definitions).
+var _ Store = (*KB)(nil)
 
 // candidatesFrom materializes Candidate structs from raw dictionary rows,
 // recomputing priors over the full entry set and sorting by descending
-// prior with ties broken by ascending id. Both the single KB and the
-// sharded router build their results through this one function, which is
-// what makes their outputs byte-identical (same summation order, same
+// prior with ties broken by ascending id. Both the KB and RemoteStore
+// build their results through this one function, which is what makes
+// their outputs byte-identical (same summation order, same
 // float divisions, same comparator). It runs once per dictionary key at
 // construction time (see precomputeCandidates), never on the lookup path.
 func candidatesFrom(entries []nameEntry) []Candidate {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"aida"
-	"aida/internal/kb"
 )
 
 // TestGoldenCorpusPooledStateDeterminism is the leak detector for the hot
@@ -28,10 +27,7 @@ func TestGoldenCorpusPooledStateDeterminism(t *testing.T) {
 	if workers < 2 {
 		workers = 2 // still contend on the pools even on a single-CPU host
 	}
-	for _, ns := range []NamedStore{
-		{Name: "unsharded", Store: GoldenKB()},
-		{Name: shardName(4), Store: kb.Shard(GoldenKB(), 4)},
-	} {
+	for _, ns := range Stores() {
 		t.Run(ns.Name, func(t *testing.T) {
 			sys := NewSystem(ns.Store)
 			for pass := 1; pass <= 2; pass++ {

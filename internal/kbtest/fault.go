@@ -128,14 +128,9 @@ func (s *FaultStore) Entity(id kb.EntityID) *kb.Entity          { return s.inner
 func (s *FaultStore) EntityByName(n string) (kb.EntityID, bool) { return s.inner.EntityByName(n) }
 func (s *FaultStore) HasName(n string) bool                     { return s.inner.HasName(n) }
 func (s *FaultStore) Candidates(n string) []kb.Candidate        { return s.inner.Candidates(n) }
-func (s *FaultStore) Prior(n string, e kb.EntityID) float64     { return s.inner.Prior(n, e) }
 func (s *FaultStore) Names() []string                           { return s.inner.Names() }
 func (s *FaultStore) PhraseIDF(p string) float64                { return s.inner.PhraseIDF(p) }
 func (s *FaultStore) WordIDF(w string) float64                  { return s.inner.WordIDF(w) }
-func (s *FaultStore) KeywordWeight(e kb.EntityID, w string) float64 {
-	return s.inner.KeywordWeight(e, w)
-}
-func (s *FaultStore) NumShards() int { return s.inner.NumShards() }
 
 // Compile-time conformance: a FaultStore can stand in for any Store and be
 // served by a StoreHost with fault hooks attached.

@@ -11,13 +11,12 @@ import (
 	"aida"
 )
 
-// TestGoldenCorpus is the conformance suite of the sharded knowledge
-// base: the full annotate pipeline over the committed golden corpus must
-// produce byte-identical output — annotations, candidate priors and
-// scores, confidence, work counters — on every kb.Store implementation
-// (the unsharded KB and routers at 2, 4 and 8 shards), and that output
-// must match the committed expectation. Run with -update to regenerate
-// the expectations from the unsharded KB.
+// TestGoldenCorpus is the conformance suite of the knowledge base: the
+// full annotate pipeline over the committed golden corpus must produce
+// output — annotations, candidate priors and scores, confidence, work
+// counters — byte-identical to the committed expectation. The fleet suites
+// in remote_test.go pin the same bytes over RemoteStore. Run with -update
+// to regenerate the expectations from the unsharded KB.
 func TestGoldenCorpus(t *testing.T) {
 	docs := Docs(t)
 	if *Update {
@@ -51,9 +50,9 @@ func TestGoldenCorpus(t *testing.T) {
 }
 
 // TestGoldenCorpusParallel re-runs the conformance corpus through the
-// concurrent corpus API on every store: fan-out must not change a single
-// byte, and under -race this doubles as the sharded router's concurrency
-// test (many goroutines hitting the same shards and intern tables).
+// concurrent corpus API: fan-out must not change a single byte, and under
+// -race this doubles as a concurrency test (many goroutines hitting the
+// same store and intern tables).
 func TestGoldenCorpusParallel(t *testing.T) {
 	docs := Docs(t)
 	texts := make([]string, len(docs))
@@ -85,29 +84,6 @@ func TestGoldenCorpusParallel(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStoresAgreeOnFullDictionary sweeps every dictionary surface of the
-// golden world through every store: candidate lists (priors included)
-// must be identical at all shard counts. This is the exhaustive router
-// check behind the per-document golden suite.
-func TestStoresAgreeOnFullDictionary(t *testing.T) {
-	k := GoldenKB()
-	stores := Stores()
-	for _, name := range k.Names() {
-		want := k.Candidates(name)
-		for _, ns := range stores[1:] {
-			got := ns.Store.Candidates(name)
-			if len(got) != len(want) {
-				t.Fatalf("%s: Candidates(%q) length %d, want %d", ns.Name, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: Candidates(%q)[%d] = %+v, want %+v", ns.Name, name, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }
 

@@ -8,11 +8,12 @@
 // The committed fixtures live in testdata/golden/: docs.json holds the
 // documents (regenerate with the checked-in generator in ./gen), and
 // expected/<name>.json holds the expected wire output of the unsharded
-// KB. TestGoldenCorpus asserts that every Store implementation — the
-// plain *kb.KB and ShardedKB routers at 2, 4 and 8 shards — reproduces
-// those bytes exactly, which is the contract that lets a sharded fleet
-// replace a single process without any output drift ("Namesakes"-style
-// silent regressions on ambiguous names are exactly what this pins).
+// KB. TestGoldenCorpus asserts that the plain *kb.KB reproduces those
+// bytes exactly, and TestGoldenCorpusRemote that a RemoteStore over 1, 2
+// and 4 shard hosts does too, which is the contract that lets a sharded
+// fleet replace a single process without any output drift
+// ("Namesakes"-style silent regressions on ambiguous names are exactly
+// what this pins).
 //
 // Run `go test ./internal/kbtest -update` to regenerate the expected
 // outputs after an intentional pipeline change.
@@ -24,7 +25,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -53,10 +53,6 @@ const (
 	ConfSeed       = 7
 )
 
-// ShardCounts are the router widths the conformance suite runs at, in
-// addition to the unsharded KB.
-var ShardCounts = []int{1, 2, 4, 8}
-
 // goldenKB builds the golden world's KB once per process.
 var goldenKB = sync.OnceValue(func() *kb.KB {
 	return wiki.Generate(wiki.Config{Seed: Seed, Entities: Entities}).KB
@@ -72,19 +68,11 @@ type NamedStore struct {
 	Store kb.Store
 }
 
-// Stores returns every Store implementation the suite pins: the unsharded
-// KB and ShardedKB routers at each of ShardCounts.
+// Stores returns the in-process Store the golden suites run on: the
+// unsharded KB. RemoteStore fleets are pinned by the suites in
+// remote_test.go, which start their own shard hosts.
 func Stores() []NamedStore {
-	k := GoldenKB()
-	out := []NamedStore{{Name: "unsharded", Store: k}}
-	for _, n := range ShardCounts {
-		out = append(out, NamedStore{Name: shardName(n), Store: kb.Shard(k, n)})
-	}
-	return out
-}
-
-func shardName(n int) string {
-	return "sharded-" + strconv.Itoa(n)
+	return []NamedStore{{Name: "unsharded", Store: GoldenKB()}}
 }
 
 // Doc is one committed golden-corpus document.

@@ -15,7 +15,8 @@ import (
 // TestGoldenCorpusOverlay is the live-update conformance gate: an Overlay
 // over the golden KB plus GoldenDelta must be indistinguishable — same
 // fingerprint, byte-identical pipeline output on every golden document —
-// from a full Rebuild containing the same facts, at 1 and 4 shards.
+// from a full Rebuild containing the same facts, over the in-memory KB and
+// over a 4-shard remote fleet.
 func TestGoldenCorpusOverlay(t *testing.T) {
 	docs := Docs(t)
 	delta := GoldenDelta()
@@ -27,8 +28,8 @@ func TestGoldenCorpusOverlay(t *testing.T) {
 		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
 			var base, rebuilt kb.Store = GoldenKB(), full
 			if n > 1 {
-				base = kb.Shard(GoldenKB(), n)
-				rebuilt = kb.Shard(full, n)
+				base = StartFleet(t, GoldenKB(), n, 1).Dial(t, kb.RemoteOptions{})
+				rebuilt = StartFleet(t, full, n, 1).Dial(t, kb.RemoteOptions{})
 			}
 			ov, err := kb.NewOverlay(base, delta)
 			if err != nil {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,4 +248,80 @@ func TestFleetFaultSmoke(t *testing.T) {
 	if total.Hedges == 0 || total.Retries == 0 || total.Failovers == 0 {
 		t.Fatalf("smoke never exercised the masking machinery: %+v", total)
 	}
+}
+
+// TestRemoteOversizeBody pins the router's bound on response bodies: a
+// replica that answers 200 with a body past 64 MiB is a failed attempt, so
+// failover to a healthy replica keeps the golden bytes, and with no
+// healthy replica each document fails with a *kb.RemoteError instead of
+// decoding a truncated body.
+func TestRemoteOversizeBody(t *testing.T) {
+	docs := Docs(t)[:2]
+	k := GoldenKB()
+	host, err := kb.NewStoreHost(k, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := host.Handler()
+	// oversize serves the dial handshake honestly, then answers every
+	// request with a 65 MiB body once armed.
+	oversize := func(armed *atomic.Bool) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !armed.Load() {
+				h.ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set(kb.FingerprintHeader, strconv.FormatUint(k.Fingerprint(), 16))
+			chunk := make([]byte, 1<<20)
+			for i := 0; i < 65; i++ {
+				if _, err := w.Write(chunk); err != nil {
+					return // the router hung up past its limit
+				}
+			}
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	dial := func(m kb.ShardMap) *kb.RemoteStore {
+		r, err := kb.DialFleet(context.Background(), m, kb.RemoteOptions{HedgeAfter: -1, RetryBackoff: -1})
+		if err != nil {
+			t.Fatalf("DialFleet: %v", err)
+		}
+		return r
+	}
+
+	t.Run("failover", func(t *testing.T) {
+		healthy := httptest.NewServer(h)
+		t.Cleanup(healthy.Close)
+		var armed atomic.Bool
+		r := dial(kb.ShardMap{Shards: []kb.ShardEndpoints{{Primary: oversize(&armed), Replicas: []string{healthy.URL}}}})
+		armed.Store(true)
+		sys := NewSystem(r)
+		for _, d := range docs {
+			got := AnnotateJSON(t, sys, d.Text)
+			if want := readExpectedDoc(t, d.Name); !bytes.Equal(got, want) {
+				t.Errorf("%s: output diverges after oversize-body failover\n got: %s", d.Name, firstDiff(got, want))
+			}
+		}
+		if st := r.Stats(); st.Retries < 1 || st.Failovers < 1 {
+			t.Fatalf("oversize bodies were not failed over: %+v", st)
+		}
+	})
+
+	t.Run("no-healthy-replica", func(t *testing.T) {
+		var armed atomic.Bool
+		r := dial(kb.ShardMap{Shards: []kb.ShardEndpoints{{Primary: oversize(&armed), Replicas: []string{oversize(&armed)}}}})
+		armed.Store(true)
+		sys := NewSystem(r)
+		for _, d := range docs {
+			doc, err := sys.AnnotateDoc(context.Background(), d.Text, ConformanceOptions()...)
+			var re *kb.RemoteError
+			if doc != nil || !errors.As(err, &re) {
+				t.Fatalf("%s: AnnotateDoc = (%v, %v), want a *kb.RemoteError", d.Name, doc, err)
+			}
+			if !strings.Contains(err.Error(), "exceeds") {
+				t.Fatalf("%s: RemoteError %q does not name the body limit", d.Name, err)
+			}
+		}
+	})
 }

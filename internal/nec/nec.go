@@ -28,7 +28,7 @@ type Classifier struct {
 // Train builds a classifier from the KB: each entity's keyphrase words
 // count toward all of the entity's types, mirroring how Wikipedia links
 // serve as distant supervision for type classifiers. Entity ids are dense,
-// so the id walk covers every shard of a sharded store in id order.
+// so the id walk covers every shard of a fleet in id order.
 func Train(k kb.Store) *Classifier {
 	counts := map[string]map[string]float64{}
 	for id := 0; id < k.NumEntities(); id++ {

@@ -65,15 +65,24 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Every value above must have come out of the restored cache.
-	if hits, misses := loaded.CacheStats(); misses != 0 || hits == 0 {
-		t.Fatalf("warm-started engine recomputed values: hits=%d misses=%d", hits, misses)
+	if st := loaded.Stats(); st.Misses != 0 || st.Hits == 0 {
+		t.Fatalf("warm-started engine recomputed values: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 
+// legacyHeader is the v1 snapshot header as writers that grouped profiles
+// per KB shard encoded it, with the writer's shard count in KBShards.
+type legacyHeader struct {
+	Magic         string
+	Version       int
+	KBFingerprint uint64
+	KBShards      int
+}
+
 // TestEngineSnapshotCrossShardLayout pins snapshot portability across shard
-// layouts: the fingerprint covers content, not layout, so an unsharded
-// process's snapshot warm-starts a sharded one (and vice versa), with
-// profiles re-interned into the loading engine's own per-KB-shard groups.
+// layouts: a v1 snapshot whose header names 4 KB shards and whose profiles
+// are split into 4 groups by kb.EntityShard restores into a flat engine
+// with every profile interned and every pair served from the cache.
 func TestEngineSnapshotCrossShardLayout(t *testing.T) {
 	k, _, _ := buildClusterKB()
 	donor := NewScorer(k)
@@ -82,22 +91,37 @@ func TestEngineSnapshotCrossShardLayout(t *testing.T) {
 	if err := donor.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
+	dec := gob.NewDecoder(&buf)
+	var h snapshotHeader
+	var body snapshotBody
+	if err := dec.Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	grouped := make([][]kb.EntityID, shards)
+	for _, e := range body.Profiles[0] {
+		g := kb.EntityShard(e, shards)
+		grouped[g] = append(grouped[g], e)
+	}
+	body.Profiles = grouped
+	var legacy bytes.Buffer
+	enc := gob.NewEncoder(&legacy)
+	if err := enc.Encode(legacyHeader{Magic: h.Magic, Version: h.Version, KBFingerprint: h.KBFingerprint, KBShards: shards}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(body); err != nil {
+		t.Fatal(err)
+	}
 
-	sharded := kb.Shard(k, 4)
-	loaded, err := LoadScorer(bytes.NewReader(buf.Bytes()), sharded)
+	loaded, err := LoadScorer(&legacy, k)
 	if err != nil {
-		t.Fatalf("LoadScorer onto 4-shard router: %v", err)
+		t.Fatalf("LoadScorer of a 4-group snapshot: %v", err)
 	}
-	perShard := loaded.ProfilesByKBShard()
-	if len(perShard) != 4 {
-		t.Fatalf("ProfilesByKBShard groups = %d, want 4", len(perShard))
-	}
-	total := 0
-	for _, n := range perShard {
-		total += n
-	}
-	if want := donor.Stats().Profiles; total != want {
-		t.Fatalf("restored profiles across shards = %d, want %d", total, want)
+	if got, want := loaded.Stats().Profiles, donor.Stats().Profiles; got != want {
+		t.Fatalf("restored profiles = %d, want %d", got, want)
 	}
 	for _, kind := range allKinds {
 		for i := range ents {
@@ -108,7 +132,7 @@ func TestEngineSnapshotCrossShardLayout(t *testing.T) {
 			}
 		}
 	}
-	if _, misses := loaded.CacheStats(); misses != 0 {
+	if misses := loaded.Stats().Misses; misses != 0 {
 		t.Fatalf("cross-layout warm start recomputed %d values", misses)
 	}
 }

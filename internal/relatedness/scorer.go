@@ -7,10 +7,10 @@ import (
 	"aida/internal/kb"
 )
 
-// scorerShards is the shard count of the Scorer's pair cache, and the
-// total lock-stripe budget of its profile intern tables. Sharding keeps
-// lock contention negligible when many documents are scored concurrently;
-// 64 shards comfortably cover the worker counts of commodity machines.
+// scorerShards is the shard count of the Scorer's pair cache and of its
+// profile intern tables. Sharding keeps lock contention negligible when
+// many documents are scored concurrently; 64 shards comfortably cover the
+// worker counts of commodity machines.
 const scorerShards = 64
 
 // pairKey identifies one memoized relatedness value: a measure kind and an
@@ -83,9 +83,9 @@ type pairShard struct {
 	mu sync.RWMutex
 	m  map[pairKey]float64
 	// hits/misses live per shard — and per requested measure kind — so the
-	// cache-hit fast path touches no shared cache line; CacheStats and
-	// Stats sum them. LSH kinds share KORE's cache rows but keep their own
-	// counters, so per-kind traffic stays attributable.
+	// cache-hit fast path touches no shared cache line; Stats sums them.
+	// LSH kinds share KORE's cache rows but keep their own counters, so
+	// per-kind traffic stays attributable.
 	hits, misses [numKinds]atomic.Int64
 }
 
@@ -99,22 +99,13 @@ type pairShard struct {
 // A Scorer is the cross-request state that one-shot Measure construction
 // used to rebuild per call: share a single Scorer per KB process-wide and
 // derive per-kind views with Measure.
-//
-// The profile intern tables are aligned with the store's KB shards: one
-// group of lock-striped tables per KB shard, so a process hosting only hot
-// shards interns (and accounts) profiles per shard, and dropping a shard's
-// profiles is a contiguous operation. For an unsharded KB this degenerates
-// to the flat 64-stripe layout.
 type Scorer struct {
 	kb     kb.Store
 	weight Weighter
 
-	// kbShards and stripes shape the profile tables: profiles holds
-	// kbShards × stripes entries, entity e living in group
-	// kb.EntityShard(e, kbShards) at stripe (e / kbShards) % stripes.
-	kbShards int
-	stripes  int
-	profiles []profileShard
+	// profiles are the lock-striped intern tables; entity e lives in
+	// stripe e % scorerShards.
+	profiles [scorerShards]profileShard
 
 	// maxProfileBytes is the approximate global budget for interned
 	// profiles (0 = unbounded); each profile stripe gets an equal slice.
@@ -132,19 +123,11 @@ type Scorer struct {
 	}
 }
 
-// NewScorer creates a scoring engine over the knowledge base (a single KB
-// or a sharded router; every value it computes is identical either way).
+// NewScorer creates a scoring engine over the knowledge base (a local KB,
+// an Overlay or a RemoteStore fleet; every value it computes is identical
+// either way).
 func NewScorer(k kb.Store) *Scorer {
-	s := &Scorer{kb: k, kbShards: 1}
-	if k != nil {
-		if n := k.NumShards(); n > 1 {
-			s.kbShards = n
-		}
-	}
-	s.stripes = scorerShards / s.kbShards
-	if s.stripes < 1 {
-		s.stripes = 1
-	}
+	s := &Scorer{kb: k}
 	s.weight = func(w string) float64 {
 		v := k.WordIDF(w)
 		if v <= 0 {
@@ -152,7 +135,6 @@ func NewScorer(k kb.Store) *Scorer {
 		}
 		return v
 	}
-	s.profiles = make([]profileShard, s.kbShards*s.stripes)
 	for i := range s.profiles {
 		s.profiles[i].m = make(map[kb.EntityID]*profileEntry)
 	}
@@ -168,13 +150,9 @@ func (s *Scorer) KB() kb.Store { return s.kb }
 // Weighter returns the engine's global keyword-IDF weighter.
 func (s *Scorer) Weighter() Weighter { return s.weight }
 
-// profileTable returns the intern table stripe owning entity e: the
-// stripe group of e's KB shard, striped within the group by the entity's
-// rank on that shard.
+// profileTable returns the intern table stripe owning entity e.
 func (s *Scorer) profileTable(e kb.EntityID) *profileShard {
-	group := kb.EntityShard(e, s.kbShards)
-	stripe := (uint64(e) / uint64(s.kbShards)) % uint64(s.stripes)
-	return &s.profiles[group*s.stripes+int(stripe)]
+	return &s.profiles[uint64(e)%scorerShards]
 }
 
 // Profile returns the interned keyphrase profile of a KB entity, building
@@ -393,17 +371,4 @@ func (s *Scorer) Pairs(kind Kind, entities []kb.EntityID) [][2]kb.EntityID {
 // Measure derives a per-kind view sharing this engine's caches.
 func (s *Scorer) Measure(kind Kind) *Measure {
 	return &Measure{Kind: kind, KB: s.kb, scorer: s}
-}
-
-// CacheStats reports the total pair-cache hit and miss counts since
-// creation, summed across all measure kinds. Stats carries the full
-// per-kind breakdown; CacheStats remains as the cheap two-number view.
-func (s *Scorer) CacheStats() (hits, misses int64) {
-	for i := range s.pairs {
-		for k := 0; k < numKinds; k++ {
-			hits += s.pairs[i].hits[k].Load()
-			misses += s.pairs[i].misses[k].Load()
-		}
-	}
-	return hits, misses
 }

@@ -32,7 +32,7 @@ func TestScorerMatchesFreshMeasures(t *testing.T) {
 			}
 		}
 	}
-	if hits, _ := s.CacheStats(); hits == 0 {
+	if s.Stats().Hits == 0 {
 		t.Error("warm pass should report cache hits")
 	}
 }

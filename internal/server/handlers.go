@@ -396,9 +396,6 @@ type serverStats struct {
 
 type kbStats struct {
 	Entities int `json:"entities"`
-	// Shards is the knowledge base's shard count: 1 for a single KB,
-	// N for a ShardedKB router (the -shards flag of cmd/aidaserver).
-	Shards int `json:"shards"`
 	// RemoteShards is the width of the remote shard fleet behind this
 	// server (the -shard-map flag of cmd/aidaserver); 0 when the KB is
 	// hosted in-process.
@@ -436,7 +433,6 @@ func (s *Server) statsSnapshot() statsResponse {
 	lv := s.sys.Live()
 	kbs := kbStats{
 		Entities:      lv.Store.NumEntities(),
-		Shards:        lv.Store.NumShards(),
 		Generation:    lv.Stats.Generation,
 		DeltaApplies:  lv.Stats.DeltaApplies,
 		DeltaEntities: lv.Stats.DeltaEntities,

@@ -90,8 +90,6 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 		"Entities added by live KB deltas since boot.", float64(st.KB.DeltaEntities))
 	writeMetric(w, "aida_kb_delta_rows_total", "counter",
 		"Dictionary rows added by live KB deltas since boot.", float64(st.KB.DeltaRows))
-	writeMetric(w, "aida_kb_shards", "gauge",
-		"Shards backing the knowledge base (1 = unsharded).", float64(st.KB.Shards))
 	writeMetric(w, "aida_kb_remote_shards", "gauge",
 		"Width of the remote shard fleet behind this server (0 = KB hosted in-process).", float64(st.KB.RemoteShards))
 	writeMetric(w, "aida_kb_remote_requests_total", "counter",

@@ -7,14 +7,15 @@ import (
 	"strings"
 	"testing"
 
+	"aida"
 	"aida/internal/kb"
 	"aida/internal/kbtest"
 )
 
 // TestRemoteBackedServer pins the full production topology: an annotation
-// front-end whose KB is a remote shard fleet must answer /v1/annotate with
-// exactly the bytes a local-KB server produces, and /v1/stats must expose
-// the fleet's fetch counters.
+// front-end whose KB is a remote shard fleet must answer /v1/annotate and
+// /v1/annotate/batch with exactly the bytes a local-KB server produces,
+// and /v1/stats must expose the fleet's fetch counters.
 func TestRemoteBackedServer(t *testing.T) {
 	k, docs := testWorld(t, 3)
 	fleet := kbtest.StartFleet(t, k, 2, 2)
@@ -29,6 +30,11 @@ func TestRemoteBackedServer(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("remote-backed /v1/annotate diverges from local:\n got %s\nwant %s", got, want)
 		}
+	}
+	batch := batchRequest{Docs: docs, RequestSpec: aida.RequestSpec{Parallelism: 4}}
+	want := readAll(t, postJSON(t, localTS.URL+"/v1/annotate/batch", batch))
+	if got := readAll(t, postJSON(t, remoteTS.URL+"/v1/annotate/batch", batch)); !bytes.Equal(got, want) {
+		t.Fatalf("remote-backed /v1/annotate/batch diverges from local:\n got %s\nwant %s", got, want)
 	}
 	_ = localSys
 
